@@ -1,6 +1,6 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build, the
 # vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of both fuzz targets, a single-iteration benchmark pass
+# short smoke of every fuzz target, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), and the race
 # pass over the concurrent packages (harness engine + encoders). The
 # race pass re-runs the golden and equivalence suites under the
@@ -142,3 +142,4 @@ trace-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/codec/entropy -run=^$$ -fuzz=FuzzBoolCoderRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/encoders -run=^$$ -fuzz=FuzzDecodeBitstream -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/uarch/bpred -run=^$$ -fuzz=FuzzTAGEFolds -fuzztime=$(FUZZTIME)

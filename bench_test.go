@@ -11,6 +11,7 @@ import (
 	"context"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"vcprof/internal/codec"
@@ -262,42 +263,101 @@ func BenchmarkEncodeX264(b *testing.B) {
 	}
 }
 
-func BenchmarkTAGEPredict(b *testing.B) {
-	p, err := bpred.NewTAGE(64 << 10)
+// cellStreams is a cell's branch and memory-access stream as the
+// trace sinks deliver them to perf.Stat's live simulators.
+type cellStreams struct {
+	pcs   []uint64
+	taken []bool
+	addrs []uint64
+	sizes []int32
+	store []bool
+}
+
+// Branch implements trace.BranchSink.
+func (s *cellStreams) Branch(pc trace.PC, taken bool) {
+	s.pcs = append(s.pcs, uint64(pc))
+	s.taken = append(s.taken, taken)
+}
+
+// Access implements trace.MemSink.
+func (s *cellStreams) Access(addr uint64, size int, store bool) {
+	s.addrs = append(s.addrs, addr)
+	s.sizes = append(s.sizes, int32(size))
+	s.store = append(s.store, store)
+}
+
+var (
+	canonOnce    sync.Once
+	canonStreams *cellStreams
+	canonErr     error
+)
+
+// canonicalStreams records, once per process, the streams of the
+// canonical cell BenchmarkCellStatEndToEnd runs (game1, 3 frames,
+// ScaleDiv 16, SVT-AV1 CRF 40 preset 4), so the per-layer benchmarks
+// replay real encoder traffic rather than synthetic loops.
+func canonicalStreams(b *testing.B) *cellStreams {
+	b.Helper()
+	canonOnce.Do(func() {
+		clip := benchClip(b)
+		st := &cellStreams{}
+		tc := trace.New()
+		tc.AttachBranchSink(st)
+		tc.AttachMemSink(st)
+		opts := encoders.Options{CRF: 40, Preset: 4, Threads: 1,
+			NewWorkerCtx: func(int) *trace.Ctx { return tc }}
+		_, canonErr = encoders.MustNew(encoders.SVTAV1).Encode(context.Background(), clip, opts)
+		canonStreams = st
+	})
+	if canonErr != nil {
+		b.Fatal(canonErr)
+	}
+	return canonStreams
+}
+
+// benchPredictor replays the canonical branch stream through a cold
+// predictor per iteration; one op is the whole stream, and the
+// throughput column counts branches (1 "byte" = 1 branch).
+func benchPredictor(b *testing.B, name string) {
+	st := canonicalStreams(b)
+	p, err := bpred.NewByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.SetBytes(int64(len(st.pcs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pc := uint64(0x400000 + (i%512)*16)
-		taken := i%3 != 0
-		p.Predict(pc)
-		p.Update(pc, taken)
+		p.Reset()
+		for j, pc := range st.pcs {
+			p.Predict(pc)
+			p.Update(pc, st.taken[j])
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(st.pcs)), "ns/branch")
 }
 
-func BenchmarkGsharePredict(b *testing.B) {
-	p, err := bpred.NewGshare(32 << 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pc := uint64(0x400000 + (i%512)*16)
-		p.Predict(pc)
-		p.Update(pc, i%3 != 0)
-	}
-}
+func BenchmarkTAGEPredict(b *testing.B) { benchPredictor(b, "tage-64KB") }
 
+func BenchmarkGsharePredict(b *testing.B) { benchPredictor(b, "gshare-32KB") }
+
+// BenchmarkCacheHierarchyAccess replays the canonical memory stream
+// through a cold Xeon hierarchy per iteration, the way perf.Stat's
+// sink drives it; the throughput column counts accesses.
 func BenchmarkCacheHierarchyAccess(b *testing.B) {
+	st := canonicalStreams(b)
 	h, err := cache.NewXeonHierarchy()
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.SetBytes(int64(len(st.addrs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i%100000)*64, i%5 == 0)
+		h.Reset()
+		for j, a := range st.addrs {
+			h.SpanAccess(a, int(st.sizes[j]), st.store[j])
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(st.addrs)), "ns/access")
 }
 
 func BenchmarkPipelineReplay(b *testing.B) {

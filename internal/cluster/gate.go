@@ -76,6 +76,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", r.handleSessionCreate)
 	mux.HandleFunc("POST /v1/sessions/{id}/frames", r.handleSessionFeed)
 	mux.HandleFunc("GET /v1/sessions/{id}/stats", r.handleSessionStats)
+	mux.HandleFunc("DELETE /v1/sessions/{id}", r.handleSessionDelete)
 	mux.HandleFunc("GET /v1/jobs/{id}", r.handleStatus)
 	mux.HandleFunc("GET /v1/results/{id}", r.handleResult)
 	mux.HandleFunc("GET /v1/cluster/stats", r.handleStats)

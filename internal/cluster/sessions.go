@@ -196,6 +196,12 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
+	if gs.done {
+		// Closed (end of stream or DELETE) while this feed waited for
+		// the lock; feeding on would re-anchor a session nobody holds.
+		writeError(w, http.StatusNotFound, "session %q closed", id)
+		return
+	}
 	if body.Fed > gs.fed {
 		gs.fed = body.Fed
 	}
@@ -289,6 +295,58 @@ func (r *Router) handleSessionStats(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
+}
+
+// handleSessionDelete closes a routed session: it forwards the DELETE
+// to the pinned shard, which frees the shard's session slot, and drops
+// the gate's entry. A shard that no longer holds the session (404) or
+// is dead has nothing left to free; any other shard failure answers 502
+// and keeps the entry, so the client can retry.
+func (r *Router) handleSessionDelete(w http.ResponseWriter, req *http.Request) {
+	id := req.PathValue("id")
+	r.sessions.mu.Lock()
+	gs, ok := r.sessions.m[id]
+	r.sessions.mu.Unlock()
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		return
+	}
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	if gs.done {
+		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		return
+	}
+	if sh, alive, ok := r.reg.lookup(gs.shard); ok && alive {
+		code, err := deleteURL(req.Context(), r.client, sh.URL+"/v1/sessions/"+gs.remoteID)
+		if err == nil && code != http.StatusNoContent && code != http.StatusNotFound {
+			err = fmt.Errorf("HTTP %d", code)
+		}
+		if err != nil {
+			writeError(w, http.StatusBadGateway, "session delete on %s: %v", gs.shard, err)
+			return
+		}
+	}
+	gs.done = true
+	r.sessions.mu.Lock()
+	delete(r.sessions.m, id)
+	r.sessions.mu.Unlock()
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// deleteURL issues a DELETE and returns the response status.
+func deleteURL(ctx context.Context, client HTTPClient, url string) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, url, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, nil
 }
 
 // postSessionJSON posts a payload and decodes a typed response,

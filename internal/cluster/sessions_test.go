@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"vcprof/internal/live"
@@ -167,5 +168,114 @@ func TestSessionFailoverReanchors(t *testing.T) {
 	}
 	if n := rt.sessions.failovers.Load(); n == 0 {
 		t.Fatalf("kill produced no failover")
+	}
+}
+
+// TestSessionDeleteThroughGate closes a session through the gate's
+// DELETE: the pinned shard must free its session slot and the gate must
+// drop its routing entry, leaving zero open sessions on both.
+func TestSessionDeleteThroughGate(t *testing.T) {
+	set := newShardSet(t, 2)
+	rt, client := newTestRouter(t, set, nil)
+	gate := httptest.NewServer(rt.Handler())
+	defer gate.Close()
+
+	var created sessionCreateWire
+	if code := gatePostJSON(t, client, gate.URL+"/v1/sessions", sessionCreateBody{Spec: liveSessionSpec()}, &created); code != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", code)
+	}
+	open := 0
+	for _, srv := range set.srvs {
+		open += srv.OpenSessions()
+	}
+	if open != 1 {
+		t.Fatalf("after create: %d open sessions across shards, want 1", open)
+	}
+
+	del := func() int {
+		req, err := http.NewRequest(http.MethodDelete, gate.URL+"/v1/sessions/"+created.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := del(); code != http.StatusNoContent {
+		t.Fatalf("delete: HTTP %d, want 204", code)
+	}
+	for i, srv := range set.srvs {
+		if n := srv.OpenSessions(); n != 0 {
+			t.Errorf("shard %s holds %d open sessions after delete", set.shards[i].Name, n)
+		}
+	}
+	rt.sessions.mu.Lock()
+	n := len(rt.sessions.m)
+	rt.sessions.mu.Unlock()
+	if n != 0 {
+		t.Errorf("gate holds %d sessions after delete", n)
+	}
+	if code := del(); code != http.StatusNotFound {
+		t.Errorf("second delete: HTTP %d, want 404", code)
+	}
+	if code := gatePostJSON(t, client, gate.URL+"/v1/sessions/"+created.ID+"/frames", sessionFeedBody{Fed: 8}, nil); code != http.StatusNotFound {
+		t.Errorf("feed after delete: HTTP %d, want 404", code)
+	}
+}
+
+// TestSessionDeleteRacesFeed deletes a session while a feed for it is
+// in flight. Whichever takes the session first, the feed must not
+// re-anchor the closed session on another shard: no failover, and zero
+// open sessions everywhere afterwards.
+func TestSessionDeleteRacesFeed(t *testing.T) {
+	set := newShardSet(t, 2)
+	rt, client := newTestRouter(t, set, nil)
+	gate := httptest.NewServer(rt.Handler())
+	defer gate.Close()
+
+	for i := 0; i < 3; i++ {
+		var created sessionCreateWire
+		if code := gatePostJSON(t, client, gate.URL+"/v1/sessions", sessionCreateBody{Spec: liveSessionSpec()}, &created); code != http.StatusCreated {
+			t.Fatalf("create: HTTP %d", code)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload, _ := json.Marshal(sessionFeedBody{Fed: 8})
+			resp, err := client.Post(gate.URL+"/v1/sessions/"+created.ID+"/frames", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+				t.Errorf("racing feed: HTTP %d", resp.StatusCode)
+			}
+		}()
+		req, err := http.NewRequest(http.MethodDelete, gate.URL+"/v1/sessions/"+created.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		wg.Wait()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("delete: HTTP %d", resp.StatusCode)
+		}
+	}
+	if n := rt.sessions.failovers.Load(); n != 0 {
+		t.Errorf("a feed racing delete re-anchored %d times", n)
+	}
+	for i, srv := range set.srvs {
+		if n := srv.OpenSessions(); n != 0 {
+			t.Errorf("shard %s holds %d open sessions", set.shards[i].Name, n)
+		}
 	}
 }

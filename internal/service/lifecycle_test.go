@@ -480,3 +480,42 @@ func TestTraceExport(t *testing.T) {
 		t.Error("trace has no job/done span")
 	}
 }
+
+// TestResultRaceWithCompletion forces a job to finish between
+// GET /v1/results/{id}'s store read and its job-table read — the worker
+// stores the result, then marks the job done, which untracks it — and
+// requires the stored bytes, not a 404. A second case finishes the job
+// with the handler's snapshot still seeing it tracked and done, which
+// must not answer 409.
+func TestResultRaceWithCompletion(t *testing.T) {
+	for _, untrack := range []bool{true, false} {
+		srv, _ := testServer(t, Config{Workers: 1}, false)
+		spec := validEncodeSpec()
+		spec.Normalize()
+		key := spec.Key()
+		j, _ := srv.jobs.getOrAdd(spec, key, obs.JobTraceID(key))
+		want := []byte("{\"result\":1}\n")
+
+		testHookResultStoreMiss = func() {
+			if err := srv.store.Put(key, want); err != nil {
+				t.Error(err)
+			}
+			if untrack {
+				srv.jobs.setState(j, StateDone, "")
+				return
+			}
+			sh := srv.jobs.shard(key)
+			sh.mu.Lock()
+			j.state = StateDone
+			sh.mu.Unlock()
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/results/"+key, nil))
+		testHookResultStoreMiss = func() {}
+
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("untrack=%v: job finishing mid-request answered HTTP %d %q, want 200 with the result",
+				untrack, rec.Code, rec.Body.String())
+		}
+	}
+}

@@ -389,27 +389,49 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if s.writeStored(w, id) {
+		return
+	}
+	testHookResultStoreMiss()
+	j, tracked := s.jobs.get(id)
+	var state, errMsg string
+	if tracked {
+		state, errMsg = s.jobs.snapshot(j)
+	}
+	// A worker stores the result before it marks the job done and
+	// untracks it, so a job that finished after the store read above is
+	// in the store now: read it again before answering 404 or 409.
+	if (!tracked || state == StateDone) && s.writeStored(w, id) {
+		return
+	}
+	switch {
+	case !tracked:
+		writeError(w, http.StatusNotFound, "no result for %q", id)
+	case state == StateFailed:
+		writeJSON(w, http.StatusInternalServerError, jobStatus{ID: id, Status: state, Error: errMsg})
+	default:
+		// Known but not finished: poll again.
+		writeJSON(w, http.StatusConflict, jobStatus{ID: id, Status: state})
+	}
+}
+
+// testHookResultStoreMiss runs in handleResult between its first store
+// read and its job-table read; tests use it to finish a job there.
+var testHookResultStoreMiss = func() {}
+
+// writeStored answers with the stored result for id, if there is one.
+// A store error is answered too, as a 500.
+func (s *Server) writeStored(w http.ResponseWriter, id string) bool {
 	data, ok, err := s.store.Get(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return true
 	}
 	if ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
-		return
 	}
-	if j, ok := s.jobs.get(id); ok {
-		state, errMsg := s.jobs.snapshot(j)
-		if state == StateFailed {
-			writeJSON(w, http.StatusInternalServerError, jobStatus{ID: id, Status: state, Error: errMsg})
-			return
-		}
-		// Known but not finished: poll again.
-		writeJSON(w, http.StatusConflict, jobStatus{ID: id, Status: state})
-		return
-	}
-	writeError(w, http.StatusNotFound, "no result for %q", id)
+	return ok
 }
 
 // handleResultHead is the router's ownership-hint probe: 200 when this

@@ -135,6 +135,13 @@ func (t *sessionTable) remove(id string) (*sessionEntry, bool) {
 	return e, ok
 }
 
+// open counts the open sessions.
+func (t *sessionTable) open() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
 // close refuses further sessions and feeds; wait blocks until every
 // in-flight feed has finished, so every GOP whose frames were accepted
 // is fully encoded before shutdown proceeds.
@@ -337,6 +344,10 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 	st := e.s.Stats()
 	writeJSON(w, http.StatusOK, sessionStatsResp{ID: id, Spec: e.s.Spec(), Stats: st, SLO: sloOfStats(st)})
 }
+
+// OpenSessions reports how many live sessions hold a slot (of
+// maxSessions) right now.
+func (s *Server) OpenSessions() int { return s.sessions.open() }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // TAGE (TAgged GEometric history length) predictor after Seznec: a
@@ -16,7 +17,11 @@ type TAGE struct {
 
 	comps []tageComp
 
-	ghist []bool // shift register of directions, newest first
+	// hist is the direction history as a ring buffer: hist[head] is the
+	// newest direction, hist[head+i] the one i branches older (uint8
+	// arithmetic wraps the index). Every component's folds read it.
+	hist [histRing]uint8
+	head uint8
 
 	// prediction bookkeeping between Predict and Update
 	provider   int // component index (-1 = base)
@@ -37,8 +42,66 @@ type tageEntry struct {
 type tageComp struct {
 	entries []tageEntry
 	mask    uint64
+	width   uint // index bits: log2(len(entries))
 	histLen int
 	tagBits uint
+
+	// Folded history registers for the index and the two tag hashes,
+	// updated in O(1) per branch.
+	idxFold, tagFold, tagFold2 foldReg
+
+	// idx and tag are this branch's hashes, set by Predict and reused
+	// by Update (the Predictor contract pairs them on the same pc).
+	idx uint64
+	tag uint16
+}
+
+// histRing is the history ring's length. It exceeds every component's
+// history length (180 bits at the 64KB budget) and makes a uint8 head
+// wrap for free.
+const histRing = 256
+
+// foldReg holds the most recent n history bits folded into w bits: the
+// bits are cut, newest first, into w-bit chunks whose first bit is the
+// chunk's most significant, the last partial chunk right-aligned, and
+// the chunks XORed together. Shifting one direction into the history
+// rotates every full-chunk bit right by one within the register, moves
+// the partial chunk right by one, drops the oldest bit and enters the
+// new one; push does exactly that in O(1).
+type foldReg struct {
+	val  uint64
+	w    uint   // register width in bits
+	in   uint   // bit the newest direction enters at
+	out  uint8  // history position n-1: the bit that leaves
+	wrap uint8  // history position ⌊n/w⌋·w−1: last bit of the last full chunk
+	fix  uint64 // bits the wrap bit toggles (0 unless a partial chunk follows full ones)
+}
+
+func newFoldReg(n int, w uint) foldReg {
+	q, r := uint(n)/w, uint(n)%w
+	f := foldReg{w: w, in: w - 1, out: uint8(n - 1)}
+	if q == 0 {
+		// The whole history is one right-aligned partial chunk.
+		f.in = r - 1
+	} else if r > 0 {
+		// The wrap bit rotates to the top of the register, but belongs at
+		// the top of the partial chunk.
+		f.wrap = uint8(q*w - 1)
+		f.fix = 1<<(w-1) | 1<<(r-1)
+	}
+	return f
+}
+
+// push folds taken into the register. The oldest bit (and, when a
+// partial chunk follows full ones, the wrap bit) sits at bit 0 before
+// the rotation, so the rotation needs at most three single-bit
+// corrections before the new bit enters. It must run before the ring
+// shifts: out and wrap name positions of the old history.
+func (f *foldReg) push(t *TAGE, taken uint64) {
+	v := f.val>>1 | (f.val&1)<<(f.w-1)
+	v ^= uint64(t.hist[t.head+f.out]) << (f.w - 1)
+	v ^= uint64(t.hist[t.head+f.wrap]) * f.fix
+	f.val = v ^ taken<<f.in
 }
 
 // tageGeometry describes a budget point.
@@ -91,15 +154,19 @@ func NewTAGE(sizeBytes int) (*TAGE, error) {
 		name:     fmt.Sprintf("tage-%dKB", sizeBytes/1024),
 		base:     make([]ctr2, g.baseEntries),
 		baseMask: uint64(g.baseEntries - 1),
-		ghist:    make([]bool, g.histLens[len(g.histLens)-1]+1),
 		rng:      0x2545F491,
 	}
+	width := uint(bits.Len(uint(g.compEntries - 1)))
 	for _, hl := range g.histLens {
 		t.comps = append(t.comps, tageComp{
-			entries: make([]tageEntry, g.compEntries),
-			mask:    uint64(g.compEntries - 1),
-			histLen: hl,
-			tagBits: g.tagBits,
+			entries:  make([]tageEntry, g.compEntries),
+			mask:     uint64(g.compEntries - 1),
+			width:    width,
+			histLen:  hl,
+			tagBits:  g.tagBits,
+			idxFold:  newFoldReg(hl, width),
+			tagFold:  newFoldReg(hl, g.tagBits),
+			tagFold2: newFoldReg(hl, g.tagBits-1),
 		})
 	}
 	t.sizeBits = g.baseEntries*2 + len(g.histLens)*g.compEntries*(int(g.tagBits)+3+2)
@@ -112,47 +179,11 @@ func (t *TAGE) Name() string { return t.name }
 // SizeBits implements Predictor.
 func (t *TAGE) SizeBits() int { return t.sizeBits }
 
-// foldHist folds the most recent n history bits into width bits.
-func (t *TAGE) foldHist(n int, width uint) uint64 {
-	var folded, chunk uint64
-	var used uint
-	for i := 0; i < n; i++ {
-		chunk <<= 1
-		if t.ghist[i] {
-			chunk |= 1
-		}
-		used++
-		if used == width {
-			folded ^= chunk
-			chunk, used = 0, 0
-		}
-	}
-	if used > 0 {
-		folded ^= chunk
-	}
-	return folded & ((1 << width) - 1)
-}
-
-func (c *tageComp) width() uint {
-	w := uint(0)
-	for m := c.mask; m > 0; m >>= 1 {
-		w++
-	}
-	return w
-}
-
-func (t *TAGE) compIndex(ci int, pc uint64) uint64 {
-	c := &t.comps[ci]
-	w := c.width()
-	h := t.foldHist(c.histLen, w)
-	return ((pc >> 2) ^ (pc >> (2 + w)) ^ h) & c.mask
-}
-
-func (t *TAGE) compTag(ci int, pc uint64) uint16 {
-	c := &t.comps[ci]
-	h := t.foldHist(c.histLen, c.tagBits)
-	h2 := t.foldHist(c.histLen, c.tagBits-1) << 1
-	return uint16(((pc >> 2) ^ h ^ h2) & ((1 << c.tagBits) - 1))
+// hash computes the component's index and tag for pc from its folded
+// registers.
+func (c *tageComp) hash(pc uint64) {
+	c.idx = ((pc >> 2) ^ (pc >> (2 + c.width)) ^ c.idxFold.val) & c.mask
+	c.tag = uint16(((pc >> 2) ^ c.tagFold.val ^ c.tagFold2.val<<1) & (1<<c.tagBits - 1))
 }
 
 // Predict implements Predictor.
@@ -160,11 +191,12 @@ func (t *TAGE) Predict(pc uint64) bool {
 	t.provider = -1
 	alt := -1
 	for ci := len(t.comps) - 1; ci >= 0; ci-- {
-		idx := t.compIndex(ci, pc)
-		if t.comps[ci].entries[idx].tag == t.compTag(ci, pc) {
+		c := &t.comps[ci]
+		c.hash(pc)
+		if c.entries[c.idx].tag == c.tag {
 			if t.provider == -1 {
 				t.provider = ci
-				t.provIdx = idx
+				t.provIdx = c.idx
 			} else if alt == -1 {
 				alt = ci
 			}
@@ -173,7 +205,7 @@ func (t *TAGE) Predict(pc uint64) bool {
 	basePred := t.base[(pc>>2)&t.baseMask].taken()
 	t.altPred = basePred
 	if alt != -1 {
-		t.altPred = t.comps[alt].entries[t.compIndex(alt, pc)].ctr >= 0
+		t.altPred = t.comps[alt].entries[t.comps[alt].idx].ctr >= 0
 	}
 	if t.provider == -1 {
 		t.provPred = basePred
@@ -239,10 +271,10 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		start := t.provider + 1
 		allocated := false
 		for ci := start; ci < len(t.comps); ci++ {
-			idx := t.compIndex(ci, pc)
-			e := &t.comps[ci].entries[idx]
+			c := &t.comps[ci]
+			e := &c.entries[c.idx]
 			if e.use == 0 {
-				e.tag = t.compTag(ci, pc)
+				e.tag = c.tag
 				if taken {
 					e.ctr = 0
 				} else {
@@ -255,18 +287,28 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		if !allocated {
 			// Decay a random candidate's usefulness so allocation
 			// eventually succeeds on persistent mispredictions.
-			ci := start + int(t.nextRand())%(len(t.comps)-start)
-			idx := t.compIndex(ci, pc)
-			e := &t.comps[ci].entries[idx]
+			c := &t.comps[start+int(t.nextRand())%(len(t.comps)-start)]
+			e := &c.entries[c.idx]
 			if e.use > 0 {
 				e.use--
 			}
 		}
 	}
 
-	// Shift history.
-	copy(t.ghist[1:], t.ghist[:len(t.ghist)-1])
-	t.ghist[0] = taken
+	// Fold the direction into every register, then shift it into the
+	// ring.
+	var b uint64
+	if taken {
+		b = 1
+	}
+	for ci := range t.comps {
+		c := &t.comps[ci]
+		c.idxFold.push(t, b)
+		c.tagFold.push(t, b)
+		c.tagFold2.push(t, b)
+	}
+	t.head--
+	t.hist[t.head] = uint8(b)
 }
 
 // Reset implements Predictor.
@@ -275,13 +317,14 @@ func (t *TAGE) Reset() {
 		t.base[i] = 0
 	}
 	for ci := range t.comps {
-		for i := range t.comps[ci].entries {
-			t.comps[ci].entries[i] = tageEntry{}
+		c := &t.comps[ci]
+		for i := range c.entries {
+			c.entries[i] = tageEntry{}
 		}
+		c.idxFold.val, c.tagFold.val, c.tagFold2.val = 0, 0, 0
 	}
-	for i := range t.ghist {
-		t.ghist[i] = false
-	}
+	t.hist = [histRing]uint8{}
+	t.head = 0
 	t.useAltOnNA = 0
 	t.rng = 0x2545F491
 }

@@ -47,20 +47,23 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set timestamp; larger is more recent.
-	lru uint64
-}
+// lineShift is log2(LineSize): an address's line tag is addr>>lineShift.
+const lineShift = 6
 
-// Cache is one set-associative level.
+// Cache is one set-associative level. Way state is kept in parallel
+// per-field arrays, set-major, so a lookup scans only the set's tags:
+// at 8 ways that is 64 contiguous bytes, one host cache line. LRU
+// timestamps and dirty bits are touched only on a hit's update or a
+// miss's victim choice.
 type Cache struct {
 	cfg   Config
-	sets  int
-	shift uint
-	lines []line // sets × assoc
+	assoc int
+	sets  uint64
+	pow2  bool     // sets is a power of two: index with mask
+	mask  uint64   // sets-1
+	keys  []uint64 // sets × assoc: line tag+1, 0 for an invalid way
+	lru   []uint64 // per-way last-access clock, larger is more recent; 0 while invalid
+	dirty []bool
 	clock uint64
 	stats Stats
 }
@@ -71,15 +74,17 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / (LineSize * cfg.Assoc)
-	c := &Cache{
+	n := sets * cfg.Assoc
+	return &Cache{
 		cfg:   cfg,
-		sets:  sets,
-		lines: make([]line, sets*cfg.Assoc),
-	}
-	for s := 64; s > 1; s >>= 1 {
-		c.shift++
-	}
-	return c, nil
+		assoc: cfg.Assoc,
+		sets:  uint64(sets),
+		pow2:  sets&(sets-1) == 0,
+		mask:  uint64(sets - 1),
+		keys:  make([]uint64, n),
+		lru:   make([]uint64, n),
+		dirty: make([]bool, n),
+	}, nil
 }
 
 // Config returns the level's configuration.
@@ -90,11 +95,20 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.keys)
+	clear(c.lru)
+	clear(c.dirty)
 	c.clock = 0
 	c.stats = Stats{}
+}
+
+// set returns the first way index of tag's set. Power-of-two set
+// counts (L1D, L2) mask; others (the 24,576-set LLC) take the modulo.
+func (c *Cache) set(tag uint64) int {
+	if c.pow2 {
+		return int(tag&c.mask) * c.assoc
+	}
+	return int(tag%c.sets) * c.assoc
 }
 
 // Access looks up the line containing addr. On a miss the line is
@@ -104,45 +118,42 @@ func (c *Cache) Reset() {
 func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 	c.clock++
 	c.stats.Accesses++
-	tag := addr >> c.shift
-	set := int(tag % uint64(c.sets))
-	base := set * c.cfg.Assoc
-	victim := base
-	oldest := ^uint64(0)
-	for i := base; i < base+c.cfg.Assoc; i++ {
-		ln := &c.lines[i]
-		if ln.valid && ln.tag == tag {
-			ln.lru = c.clock
+	tag := addr >> lineShift
+	key, base := tag+1, c.set(tag)
+	for i, k := range c.keys[base : base+c.assoc] {
+		if k == key {
+			c.lru[base+i] = c.clock
 			if store {
-				ln.dirty = true
+				c.dirty[base+i] = true
 			}
 			return true, false
 		}
-		if !ln.valid {
-			victim = i
-			oldest = 0
-		} else if ln.lru < oldest {
-			victim = i
-			oldest = ln.lru
+	}
+	// Victim: the last invalid way (their clocks are all 0), else the
+	// least recently used; valid clocks are distinct and nonzero.
+	victim, oldest := 0, ^uint64(0)
+	for i, t := range c.lru[base : base+c.assoc] {
+		if t <= oldest {
+			victim, oldest = i, t
 		}
 	}
+	v := base + victim
 	c.stats.Misses++
-	v := &c.lines[victim]
-	writeback = v.valid && v.dirty
+	// An invalid way is never dirty.
+	writeback = c.dirty[v]
 	if writeback {
 		c.stats.Writebacks++
 	}
-	*v = line{tag: tag, valid: true, dirty: store, lru: c.clock}
+	c.keys[v], c.lru[v], c.dirty[v] = key, c.clock, store
 	return false, writeback
 }
 
 // Probe reports whether addr is resident without updating any state.
 func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.shift
-	set := int(tag % uint64(c.sets))
-	base := set * c.cfg.Assoc
-	for i := base; i < base+c.cfg.Assoc; i++ {
-		if c.lines[i].valid && c.lines[i].tag == tag {
+	tag := addr >> lineShift
+	key, base := tag+1, c.set(tag)
+	for _, k := range c.keys[base : base+c.assoc] {
+		if k == key {
 			return true
 		}
 	}

@@ -199,3 +199,79 @@ func TestAccessDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refCache is the reference model the packed layout must reproduce:
+// one struct per way, a linear scan per access, and the same victim
+// rule (last invalid way, else the least recently used).
+type refCache struct {
+	sets, assoc int
+	lines       []refLine
+	clock       uint64
+}
+
+type refLine struct {
+	tag          uint64
+	valid, dirty bool
+	lru          uint64
+}
+
+func (c *refCache) access(addr uint64, store bool) (hit, writeback bool) {
+	c.clock++
+	tag := addr >> 6
+	base := int(tag%uint64(c.sets)) * c.assoc
+	victim, oldest := base, ^uint64(0)
+	for i := base; i < base+c.assoc; i++ {
+		ln := &c.lines[i]
+		if ln.valid && ln.tag == tag {
+			ln.lru = c.clock
+			ln.dirty = ln.dirty || store
+			return true, false
+		}
+		if !ln.valid {
+			victim, oldest = i, 0
+		} else if ln.lru < oldest {
+			victim, oldest = i, ln.lru
+		}
+	}
+	v := &c.lines[victim]
+	writeback = v.valid && v.dirty
+	*v = refLine{tag: tag, valid: true, dirty: store, lru: c.clock}
+	return false, writeback
+}
+
+// TestAccessMatchesReference drives the packed cache and the reference
+// model with the same skewed address stream, at power-of-two and
+// non-power-of-two set counts, and requires identical hit and
+// writeback outcomes on every access.
+func TestAccessMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "l1d", SizeBytes: 32 << 10, Assoc: 8},
+		{Name: "12-way", SizeBytes: 96 << 10, Assoc: 12}, // 128 sets
+		{Name: "odd", SizeBytes: 60 << 10, Assoc: 20},    // 48 sets
+		{Name: "direct", SizeBytes: 4 << 10, Assoc: 1},
+	} {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := cfg.SizeBytes / (LineSize * cfg.Assoc)
+		ref := &refCache{sets: sets, assoc: cfg.Assoc, lines: make([]refLine, sets*cfg.Assoc)}
+		s := uint64(7)
+		for i := 0; i < 200_000; i++ {
+			s = s*6364136223846793005 + 1442695040888963407
+			// Mostly a hot working set a little larger than the cache,
+			// with a cold tail.
+			span := uint64(cfg.SizeBytes) * 2
+			if s>>60 == 0 {
+				span = 1 << 30
+			}
+			addr := (s >> 16) % span
+			store := s>>13&3 == 0
+			h, wb := c.Access(addr, store)
+			rh, rwb := ref.access(addr, store)
+			if h != rh || wb != rwb {
+				t.Fatalf("%s access %d (%#x): got hit=%v wb=%v, reference hit=%v wb=%v", cfg.Name, i, addr, h, wb, rh, rwb)
+			}
+		}
+	}
+}
